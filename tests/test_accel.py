@@ -33,6 +33,7 @@ from repro.accel import (
 )
 from repro.core import AttackConfig, run_attack
 from repro.datasets import generate_room_scene
+from repro.datasets.s3dis import CLASS_INDEX
 from repro.geometry import knn_indices
 from repro.models import build_model
 from repro.nn import Tensor
@@ -64,6 +65,26 @@ def _golden_config(method: str, field: str, **compute) -> AttackConfig:
                              bounded_steps=6, smoothness_alpha=4,
                              min_impact_points=16, seed=3,
                              target_accuracy=0.0, **compute)
+
+
+#: Object-hiding golden cases (``<model>/<method>/<field>/hiding``) hide the
+#: scene's board points as wall, the paper's S3DIS hiding pair.
+GOLDEN_HIDING = dict(objective="hiding", source_class=CLASS_INDEX["board"],
+                     target_class=CLASS_INDEX["wall"])
+
+
+def _golden_case_run(case: str):
+    """Run one golden case in exactness mode; return its AttackResult."""
+    model_name, method, field, *objective = case.split("/")
+    kwargs = {"num_blocks": 2} if model_name == "resgcn" else {}
+    model = build_model(model_name, num_classes=13, hidden=16, seed=0,
+                        **kwargs)
+    model.eval()
+    extra = GOLDEN_HIDING if objective == ["hiding"] else {}
+    config = _golden_config(method, field, compute_dtype="float64",
+                            neighbor_refresh=1,
+                            smoothness_neighbors="current", **extra)
+    return run_attack(model, _golden_scene(), config)
 
 
 # ---------------------------------------------------------------------- #
@@ -147,10 +168,12 @@ class TestExactnessGolden:
     """float64 / R=1 / current-neighbour mode reproduces the seed.
 
     The golden arrays were captured by running the *pre-accel* code on the
-    same models, scene and configurations.  The comparison is tight
-    tolerance by default (robust to BLAS kernel differences between
-    machines) and bit-for-bit under ``REPRO_GOLDEN_BITWISE=1`` (verified on
-    the capture machine).
+    same models, scene and configurations; the ``resgcn/bounded/coordinate``,
+    ``pointnet2/unbounded/both`` and ``pointnet2/bounded/color/hiding``
+    cases were captured later, from the engines' serial ``run`` loops.  The
+    comparison is tight tolerance by default (robust to BLAS kernel
+    differences between machines) and bit-for-bit under
+    ``REPRO_GOLDEN_BITWISE=1`` (verified on the capture machine).
     """
 
     @pytest.fixture(scope="class")
@@ -195,17 +218,12 @@ class TestExactnessGolden:
         "resgcn/unbounded/coordinate",
         "resgcn/bounded/color",
         "randlanet/unbounded/color",
+        "resgcn/bounded/coordinate",
+        "pointnet2/unbounded/both",
+        "pointnet2/bounded/color/hiding",
     ])
     def test_exact_mode_reproduces_seed(self, golden, golden_arrays, case):
-        model_name, method, field = case.split("/")
-        kwargs = {"num_blocks": 2} if model_name == "resgcn" else {}
-        model = build_model(model_name, num_classes=13, hidden=16, seed=0,
-                            **kwargs)
-        model.eval()
-        config = _golden_config(method, field, compute_dtype="float64",
-                                neighbor_refresh=1,
-                                smoothness_neighbors="current")
-        result = run_attack(model, _golden_scene(), config)
+        result = _golden_case_run(case)
         self._check_against_golden(result, case, golden, golden_arrays)
 
     def test_env_exact_override_restores_full_seed_behaviour(
