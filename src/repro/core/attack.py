@@ -8,8 +8,6 @@ engine, and returns a fully evaluated :class:`AttackResult`.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +17,7 @@ from ..datasets.splits import prepare_scene
 from ..models.base import SegmentationModel
 from .blackbox import build_blackbox_engine
 from .config import (AttackConfig, AttackMethod, AttackMode, AttackObjective,
-                     AttackResult)
+                     AttackResult, PreparedScene)
 from .norm_bounded import NormBoundedAttack
 from .norm_unbounded import NormUnboundedAttack
 from .perturbation import PerturbationSpec, class_mask, full_mask
@@ -108,23 +106,6 @@ def run_attack(model: SegmentationModel, scene: PointCloudScene,
     )
 
 
-@dataclass
-class PreparedScene:
-    """One scene, normalised and ready for a (batched) attack engine."""
-
-    coords: np.ndarray
-    colors: np.ndarray
-    labels: np.ndarray
-    spec: PerturbationSpec
-    target_labels: Optional[np.ndarray]
-    rng: Optional[np.random.Generator]
-    scene_name: str = ""
-
-    @property
-    def num_points(self) -> int:
-        return int(np.asarray(self.coords).shape[0])
-
-
 def _prepare_for_batch(model: SegmentationModel, scene: PointCloudScene,
                        config: AttackConfig, scene_rng: np.random.Generator,
                        num_points: Optional[int]) -> PreparedScene:
@@ -143,8 +124,7 @@ def _prepare_for_batch(model: SegmentationModel, scene: PointCloudScene,
 
 
 def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene],
-                     config: AttackConfig,
-                     rng: Optional[np.random.Generator] = None,
+                     config: AttackConfig, *,
                      num_points: Optional[int] = None,
                      skip_missing_source: bool = True,
                      start_index: int = 0) -> List[AttackResult]:
@@ -160,8 +140,6 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
     many earlier scenes were skipped.  To shard one logical batch across
     workers without changing any numbers, pass each shard's global offset
     as ``start_index`` (e.g. shard ``scenes[k:]`` with ``start_index=k``).
-    The ``rng`` parameter is kept for backwards compatibility but no longer
-    participates in seeding.
 
     With ``config.batch_scenes > 1``, same-size scenes are coalesced into
     groups of up to ``batch_scenes`` and each group runs through the
@@ -171,12 +149,7 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
     order.  The random-noise baseline is a single model query per scene and
     always runs serially.
     """
-    if rng is not None:
-        warnings.warn("run_attack_batch ignores the shared `rng` argument; "
-                      "per-scene seeds derive from (config.seed, scene_index)",
-                      DeprecationWarning, stacklevel=2)
-    batch_scenes = max(int(getattr(config, "batch_scenes", 1)), 1)
-    if batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
+    if config.batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
         results: List[AttackResult] = []
         for scene_index, scene in enumerate(scenes, start=start_index):
             scene_rng = np.random.default_rng([config.seed, scene_index])
@@ -198,7 +171,7 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
         except ValueError:
             if not skip_missing_source:
                 raise
-    return _dispatch_batched(model, config, prepared, batch_scenes)
+    return _dispatch_batched(model, config, prepared)
 
 
 def run_attack_group(model: SegmentationModel,
@@ -214,8 +187,7 @@ def run_attack_group(model: SegmentationModel,
     coalesces same-size scenes into batched engine loops when
     ``config.batch_scenes > 1``, without changing a single number.
     """
-    batch_scenes = max(int(getattr(config, "batch_scenes", 1)), 1)
-    if batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
+    if config.batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
         return [run_attack(model, scene, config, num_points=num_points)
                 for scene in scenes]
     prepared = [
@@ -224,12 +196,12 @@ def run_attack_group(model: SegmentationModel,
                             np.random.default_rng(config.seed), num_points))
         for position, scene in enumerate(scenes)
     ]
-    return _dispatch_batched(model, config, prepared, batch_scenes)
+    return _dispatch_batched(model, config, prepared)
 
 
 def _dispatch_batched(model: SegmentationModel, config: AttackConfig,
-                      prepared: List[Tuple[int, PreparedScene]],
-                      batch_scenes: int) -> List[AttackResult]:
+                      prepared: List[Tuple[int, PreparedScene]]
+                      ) -> List[AttackResult]:
     """Group prepared scenes by size and run each chunk batched, in order.
 
     Same-size scenes share one batched loop; odd sizes fall into their own
@@ -242,8 +214,8 @@ def _dispatch_batched(model: SegmentationModel, config: AttackConfig,
     engine = _build_engine(model, config)
     by_position: Dict[int, AttackResult] = {}
     for members in groups.values():
-        for offset in range(0, len(members), batch_scenes):
-            chunk = members[offset:offset + batch_scenes]
+        for offset in range(0, len(members), config.batch_scenes):
+            chunk = members[offset:offset + config.batch_scenes]
             outcomes = engine.run_batched([item for _, item in chunk])
             for (position, _), outcome in zip(chunk, outcomes):
                 by_position[position] = outcome

@@ -18,13 +18,14 @@ adds the score-based and decision-based threat models behind the very same
   adversarial (the attacker's own ``Converge(·)`` criterion).
 
 All three engines are built as *per-scene state machines driven by stacked
-forward passes*: a serial ``run`` drives one state, ``run_batched`` drives B
-states, and every model evaluation stacks the active scenes' clouds into one
-``(rows, N, 3)`` forward.  Because evaluation-mode forwards are
-batch-position independent (the PR-3 invariant) and every per-scene decision
-consumes only that scene's RNG stream and loss values, serial and batched
-runs are bit-for-bit identical by construction — the engine-contract suite
-asserts exactly that.
+forward passes*: ``run_batched`` drives B states (``run`` is a one-scene
+``run_batched`` call), and every model evaluation stacks the active scenes'
+clouds into one ``(rows, N, 3)`` forward.  Because evaluation-mode forwards
+are batch-position independent and every per-scene decision consumes only
+that scene's RNG stream and loss values, a scene's result does not depend on
+which batch it rides in: ``batch_scenes > 1`` reproduces the
+``batch_scenes=1`` run bit for bit by construction — the engine-contract
+suite asserts exactly that.
 
 Query accounting: every cloud the victim model evaluates for the attacker
 costs one query from ``config.query_budget``.  A NES/SPSA step spends one
@@ -44,7 +45,8 @@ from ..accel import attack_compute
 from ..models.base import SegmentationModel
 from ..nn import Tensor, plan_cache
 from ..telemetry import get_tracer
-from .config import AttackConfig, AttackMode, AttackObjective, AttackResult
+from .config import (AttackConfig, AttackMode, AttackObjective, AttackResult,
+                     PreparedScene)
 from .convergence import ConvergenceCheck
 from .eot import build_eot
 from .evaluation import build_result
@@ -79,24 +81,22 @@ class _SceneState:
     """Everything one scene carries through a black-box optimisation loop."""
 
     def __init__(self, config: AttackConfig, check: ConvergenceCheck,
-                 coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-                 spec: PerturbationSpec, target_labels: Optional[np.ndarray],
-                 rng: Optional[np.random.Generator], scene_name: str) -> None:
+                 scene: PreparedScene) -> None:
         self.config = config
         self.check = check
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.colors = np.asarray(colors, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.spec = spec
+        self.coords = np.asarray(scene.coords, dtype=np.float64)
+        self.colors = np.asarray(scene.colors, dtype=np.float64)
+        self.labels = np.asarray(scene.labels, dtype=np.int64)
+        self.spec = spec = scene.spec
         self.mask = np.asarray(spec.target_mask, dtype=bool)
         self.mask3 = self.mask[:, None]
-        self.target_labels = (None if target_labels is None
-                              else np.asarray(target_labels, dtype=np.int64))
+        self.target_labels = (None if scene.target_labels is None
+                              else np.asarray(scene.target_labels, dtype=np.int64))
         if (config.objective is AttackObjective.OBJECT_HIDING
                 and self.target_labels is None):
             raise ValueError("object hiding requires target labels")
-        self.rng = rng or np.random.default_rng(config.seed)
-        self.scene_name = scene_name
+        self.rng = scene.rng or np.random.default_rng(config.seed)
+        self.scene_name = scene.scene_name
         # Adaptive mode: the attacker's own sampler of the deployed defense
         # (None when static).  Every defended forward costs one query.
         self.eot = build_eot(config)
@@ -192,7 +192,7 @@ class _BlackBoxAttack:
     #: Rows per stacked inference forward.  Adaptive mode multiplies the
     #: probe population by ``eot_samples``, so one unbounded forward could
     #: exhaust memory at paper scale; evaluation-mode forwards are
-    #: batch-position independent (the PR-3 invariant the serial/batched
+    #: batch-position independent (the invariant the one-scene/batched
     #: contract already relies on), so chunking never changes a result.
     max_eval_rows = 256
 
@@ -247,11 +247,6 @@ class _BlackBoxAttack:
         return (state.eot is None
                 and not state.spec.field.perturbs_coordinate)
 
-    def _make_state(self, scene) -> _SceneState:
-        return _SceneState(self.config, self.check, scene.coords, scene.colors,
-                           scene.labels, scene.spec, scene.target_labels,
-                           scene.rng, scene.scene_name)
-
     def _finish(self, state: _SceneState) -> AttackResult:
         coords, colors = state.cloud()
         return build_result(
@@ -269,19 +264,14 @@ class _BlackBoxAttack:
             spec: PerturbationSpec, target_labels: Optional[np.ndarray] = None,
             rng: Optional[np.random.Generator] = None,
             scene_name: str = "") -> AttackResult:
-        """Attack a single prepared cloud (all arrays in model space)."""
-        state = _SceneState(self.config, self.check, coords, colors, labels,
-                            spec, target_labels, rng, scene_name)
-        self.model.eval()
-        with attack_compute(self.model, self.config, neighbor_refresh=1) as cache:
-            self._plans = plan_cache()
-            self._drive([state], cache)
-            self._plans = None
-        return self._finish(state)
+        """Attack a single prepared cloud: a one-scene :meth:`run_batched`."""
+        return self.run_batched([PreparedScene(coords, colors, labels, spec,
+                                               target_labels, rng,
+                                               scene_name)])[0]
 
-    def run_batched(self, scenes: Sequence) -> List[AttackResult]:
+    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
         """Attack several same-size prepared clouds through shared forwards."""
-        states = [self._make_state(scene) for scene in scenes]
+        states = [_SceneState(self.config, self.check, scene) for scene in scenes]
         self.model.eval()
         with attack_compute(self.model, self.config, neighbor_refresh=1) as cache:
             self._plans = plan_cache()
@@ -364,9 +354,10 @@ class _FiniteDifferenceAttack(_BlackBoxAttack):
             # scenes.  Directions (and, in adaptive mode, this step's
             # defense samples — drawn first, shared by every direction of
             # the step) come from each scene's own stream in a fixed order,
-            # so the draw sequence matches a serial run.  Each probe is
-            # evaluated through every defense sample; the ± losses are the
-            # per-sample means, and every defended forward costs one query.
+            # so the draw sequence matches the scene's one-scene run.  Each
+            # probe is evaluated through every defense sample; the ± losses
+            # are the per-sample means, and every defended forward costs one
+            # query.
             probes: List[Tuple[np.ndarray, np.ndarray]] = []
             directions: List[List[Dict[str, np.ndarray]]] = []
             eot_by_scene: List[List] = []
@@ -600,7 +591,7 @@ class BoundaryAttack(_BlackBoxAttack):
             # each proposal — drawn at the candidate itself, since the
             # decision is about the candidate's defended prediction.  The
             # per-scene stream order (proposal draws, then sample draws)
-            # matches serial runs.
+            # matches one-scene runs.
             clouds: List[Tuple[np.ndarray, np.ndarray]] = []
             samples_by_walk: List[List] = []
             for walk in pending:

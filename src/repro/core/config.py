@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..metrics.attack_metrics import AttackOutcome
-from .perturbation import AttackField
+from .perturbation import AttackField, PerturbationSpec
 
 
 class AttackObjective(str, Enum):
@@ -331,5 +331,22 @@ class AttackResult:
         return data
 
 
+@dataclass
+class PreparedScene:
+    """One scene, normalised and ready for an attack engine's ``run_batched``."""
+
+    coords: np.ndarray
+    colors: np.ndarray
+    labels: np.ndarray
+    spec: PerturbationSpec
+    target_labels: Optional[np.ndarray]
+    rng: Optional[np.random.Generator]
+    scene_name: str = ""
+
+    @property
+    def num_points(self) -> int:
+        return int(np.asarray(self.coords).shape[0])
+
+
 __all__ = ["AttackObjective", "AttackMethod", "AttackMode", "AttackConfig",
-           "AttackResult"]
+           "AttackResult", "PreparedScene"]

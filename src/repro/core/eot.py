@@ -14,13 +14,13 @@ them.  This module turns a defense registry name into a
   so the values quantize while the gradient passes unchanged) become adds;
 * removal defenses (SRS, SOR) contribute a keep mask restricting the
   adversarial loss to the points that would survive — the point count stays
-  fixed, which is what keeps serial and ``batch_scenes`` runs structurally
-  identical.
+  fixed, which is what keeps one-scene and ``batch_scenes`` runs
+  structurally identical.
 
-Batched engines stack per-scene samples (drawn from each scene's own RNG
-stream, in the same order as a serial run) into one batched sample, so the
+The engines stack per-scene samples (drawn from each scene's own RNG stream,
+in the same order as a one-scene run) into one batched sample, so the
 defended forward stays a single stacked call and every scene's gradients are
-bit-for-bit equal to its serial counterpart.
+bit-for-bit equal to its ``batch_scenes=1`` run.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def stack_samples(samples: Sequence[EOTSample]) -> EOTSample:
 
     All scenes of a cell run the same defense configuration, so each part
     is present for every scene or for none — mixing would force identity
-    padding, whose extra float ops would break serial/batched bit-equality.
+    padding, whose extra float ops would break the bit-equality of a scene's
+    batched and one-scene runs.
     """
     def _stack(parts):
         present = [part is not None for part in parts]
@@ -107,14 +108,12 @@ def averaged_eot_loss(model, objective, coords_t: Tensor, colors_t: Tensor,
     """Mean adversarial loss over one step's defense samples, in-graph.
 
     The single implementation behind every white-box engine's EOT step
-    (bounded and unbounded, serial and batched):
+    (bounded and unbounded):
 
-    * ``restrict(sample)`` shapes the loss mask of one sample (the call
-      site adds its batch axis);
+    * ``restrict(sample)`` shapes the loss mask of one (stacked) sample;
     * ``wrap`` is the call site's pass-through view added between the
-      defended tensors and the model (``expand_dims`` serially, an identity
-      ``reshape`` in batched unbounded mode) — applied *after* the sample
-      transform, so serial and batched graphs stay isomorphic;
+      defended tensors and the model (the unbounded engine's identity
+      ``reshape``) — applied *after* the sample transform;
     * tensor-neutral samples (keep-mask-only, e.g. SRS draws) share one
       forward: the loss is linear in the mask, so K identical forwards
       would waste (K-1)/K of the step's compute for the same gradients.

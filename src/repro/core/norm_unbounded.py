@@ -24,7 +24,8 @@ from ..accel import attack_compute, current_policy
 from ..models.base import SegmentationModel
 from ..nn import Adam, Tensor, plan_cache, where
 from ..telemetry import get_tracer
-from .config import AttackConfig, AttackObjective, AttackResult
+from .config import (AttackConfig, AttackObjective, AttackResult,
+                     PreparedScene)
 from .convergence import ConvergenceCheck
 from .distance import l2_distance
 from .eot import averaged_eot_loss, build_eot, eot_refresh, stack_samples
@@ -45,51 +46,79 @@ class NormUnboundedAttack:
         self.check = ConvergenceCheck(config, model.num_classes)
 
     # ------------------------------------------------------------------ #
-    def _adversarial_loss(self, logits, labels, target_labels, mask,
-                          per_scene: bool = False):
+    def _adversarial_loss(self, logits, labels, target_labels, mask):
+        """Per-scene Eq. 10 / 11 loss of a ``(B, N, C)`` batch, shape ``(B,)``."""
         return adversarial_loss(self.config.objective, logits, labels,
-                                target_labels, mask, per_scene=per_scene)
+                                target_labels, mask, per_scene=True)
 
     # ------------------------------------------------------------------ #
     def run(self, coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
             spec: PerturbationSpec, target_labels: Optional[np.ndarray] = None,
             rng: Optional[np.random.Generator] = None,
             scene_name: str = "") -> AttackResult:
-        """Attack a single prepared cloud (all arrays in model space)."""
-        config = self.config
-        rng = rng or np.random.default_rng(config.seed)
-        coords = np.asarray(coords, dtype=np.float64)
-        colors = np.asarray(colors, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        mask = spec.target_mask
-        mask3 = np.broadcast_to(mask[:, None], colors.shape)
+        """Attack a single prepared cloud: a one-scene :meth:`run_batched`."""
+        return self.run_batched([PreparedScene(coords, colors, labels, spec,
+                                               target_labels, rng,
+                                               scene_name)])[0]
 
-        if config.objective is AttackObjective.OBJECT_HIDING and target_labels is None:
-            raise ValueError("object hiding requires target labels")
+    # ------------------------------------------------------------------ #
+    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
+        """Attack several same-size prepared clouds in one optimisation loop.
+
+        ``scenes`` is a sequence of :class:`repro.core.config.PreparedScene`
+        records: per-scene ``coords`` / ``colors`` / ``labels`` / ``spec`` /
+        ``target_labels`` / ``rng`` / ``scene_name``, all clouds sharing one
+        point count.  A single forward/backward serves the whole batch, but
+        every scene keeps its own target mask, RNG stream, plateau counter,
+        min-impact selector and early-stopping decision, so each returned
+        :class:`AttackResult` is bit-for-bit identical to the one that
+        scene's ``batch_scenes=1`` run produces.  Scenes that converge early
+        are frozen in place (their best snapshot is already taken) while the
+        rest of the batch keeps optimising; the loop exits once every scene
+        has converged.
+        """
+        config = self.config
+        batch = len(scenes)
+        coords = np.stack([np.asarray(s.coords, dtype=np.float64) for s in scenes])
+        colors = np.stack([np.asarray(s.colors, dtype=np.float64) for s in scenes])
+        labels = np.stack([np.asarray(s.labels, dtype=np.int64) for s in scenes])
+        mask = np.stack([s.spec.target_mask for s in scenes])              # (B, N)
+        mask3 = np.broadcast_to(mask[:, :, None], colors.shape)
+        rngs = [s.rng or np.random.default_rng(config.seed) for s in scenes]
+        spec = scenes[0].spec
+        if config.objective is AttackObjective.OBJECT_HIDING:
+            if any(s.target_labels is None for s in scenes):
+                raise ValueError("object hiding requires target labels")
+            target_labels = np.stack([np.asarray(s.target_labels, dtype=np.int64)
+                                      for s in scenes])
+        else:
+            target_labels = None
 
         self.model.eval()
-        clean_prediction = self.model.predict_single(coords, colors)
+        # Clean predictions stay per-scene: they run under the float64
+        # reporting policy and are content-memoised.
+        clean_predictions = [self.model.predict_single(coords[b], colors[b])
+                             for b in range(batch)]
 
         color_reparam = BoxReparam(*spec.color_box)
         coord_reparam = BoxReparam(*spec.coord_box)
+        selectors = ([MinImpactSelector(mask[b], config.min_impact_points,
+                                        config.min_impact_floor)
+                      for b in range(batch)]
+                     if spec.field.perturbs_coordinate else None)
 
-        coord_selector = (MinImpactSelector(mask, config.min_impact_points,
-                                            config.min_impact_floor)
-                          if spec.field.perturbs_coordinate else None)
-
-        best_gain = -np.inf
-        best_adversarial_loss = np.inf
+        best_gain = np.full(batch, -np.inf)
+        best_adversarial_loss = np.full(batch, np.inf)
+        best_total_loss = np.full(batch, np.inf)
         best_colors = colors.copy()
         best_coords = coords.copy()
-        best_total_loss = np.inf
-        plateau = 0
-        history: List[Dict[str, float]] = []
-        converged = False
-        iterations = 0
+        plateau = np.zeros(batch, dtype=np.int64)
+        histories: List[List[Dict[str, float]]] = [[] for _ in range(batch)]
+        converged = np.zeros(batch, dtype=bool)
+        active = np.ones(batch, dtype=bool)
+        iterations = np.zeros(batch, dtype=np.int64)
         # Adaptive mode pins the neighbourhood cache to content-exact keying
-        # (see the black-box engines): the defended forwards move the
-        # coordinates every step and slot staleness would depend on how the
-        # samples are packed into forwards.
+        # (see ``eot_refresh``).
         eot = build_eot(config)
         refresh = eot_refresh(eot)
         tracer = get_tracer()
@@ -101,7 +130,7 @@ class NormUnboundedAttack:
             # cloud with ``smoothness_neighbors="current"`` (the seed
             # behaviour).  Read from the active policy, not the config, so
             # the ``REPRO_ACCEL`` override restores full seed behaviour.
-            smooth_source = (coords[None]
+            smooth_source = (coords
                              if current_policy().smoothness_neighbors == "clean"
                              else None)
 
@@ -131,277 +160,8 @@ class NormUnboundedAttack:
                 # masks and Eq. 9 neighbourhoods all constant): capture it
                 # once and replay the compiled plan on ``w_color``'s current
                 # data — Adam and the plateau restarts mutate it in place.
-                program = plans.program(
-                    ("unbounded", scene_name, colors.shape),
-                    lambda: {"w_color": w_color})
-
-            for step in range(1, config.unbounded_steps + 1):
-                iterations = step
-                cache.advance()
-
-                optimizer.zero_grad()
-                replayed = program.replay() if program is not None else None
-                if replayed is not None:
-                    logits_data = replayed["logits"]
-                    adv_colors_data = replayed["adv_colors"]
-                    adv_coords_data = None            # w_coord is None here
-                    step_distance = float(replayed["distance"])
-                    adversarial_value = float(replayed["adversarial"])
-                    total_value = float(replayed["total"])
-                else:
-                    with (program.capture() if program is not None
-                          else nullcontext(False)):
-                        # Current adversarial values of each field (graph
-                        # tensors).
-                        if w_color is not None:
-                            color_values = color_reparam.to_box(w_color)
-                            adv_colors_t = where(mask3, color_values, colors_const)
-                        else:
-                            adv_colors_t = colors_const
-                        if w_coord is not None:
-                            coord_values = coord_reparam.to_box(w_coord)
-                            allowed = (coord_selector.allowed_mask()
-                                       if coord_selector is not None else mask)
-                            coord_mask3 = np.broadcast_to(allowed[:, None],
-                                                          coords.shape)
-                            adv_coords_t = where(coord_mask3, coord_values,
-                                                 coords_const)
-                        else:
-                            adv_coords_t = coords_const
-
-                        if eot is None:
-                            logits = self.model(adv_coords_t.expand_dims(0),
-                                                adv_colors_t.expand_dims(0))
-                            adversarial = None
-                        else:
-                            # Expectation over transformation: the adversarial
-                            # term averages over this step's defense samples
-                            # (drawn from the scene's own stream on the
-                            # *current* adversarial values); the distance and
-                            # smoothness terms keep judging the raw cloud, and
-                            # so does convergence — the reporting forward below
-                            # carries no gradient.
-                            adv_np = np.asarray(adv_coords_t.data)
-                            col_np = np.asarray(adv_colors_t.data)
-                            adversarial, raw_logits = averaged_eot_loss(
-                                self.model, config.objective, adv_coords_t,
-                                adv_colors_t, eot.draw_all(adv_np, col_np, rng),
-                                labels[None],
-                                None if target_labels is None else target_labels[None],
-                                restrict=lambda sample: sample.restrict(mask)[None],
-                                wrap=lambda tensor: tensor.expand_dims(0))
-                            logits = (raw_logits if raw_logits is not None
-                                      else self.model(Tensor(adv_np[None]),
-                                                      Tensor(col_np[None])))
-
-                        # Objective: distance + λ1 · adversarial + λ2 · smoothness.
-                        distance_terms = []
-                        if w_color is not None:
-                            distance_terms.append(
-                                l2_distance(adv_colors_t - colors_const, mask))
-                        if w_coord is not None:
-                            distance_terms.append(
-                                l2_distance(adv_coords_t - coords_const, mask))
-                        distance = distance_terms[0]
-                        for term in distance_terms[1:]:
-                            distance = distance + term
-
-                        if adversarial is None:
-                            adversarial = self._adversarial_loss(
-                                logits, labels[None],
-                                None if target_labels is None else target_labels[None],
-                                mask[None])
-
-                        smooth = smoothness_penalty(
-                            adv_coords_t.expand_dims(0),
-                            adv_colors_t.expand_dims(0),
-                            alpha=config.smoothness_alpha,
-                            neighbor_source=smooth_source)
-                        total = (distance + config.lambda1 * adversarial
-                                 + config.lambda2 * smooth)
-                    if program is not None:
-                        program.finalize(
-                            {"logits": logits, "adv_colors": adv_colors_t,
-                             "distance": distance, "adversarial": adversarial,
-                             "total": total}, root=total)
-                    total.backward()
-                    logits_data = logits.data
-                    adv_colors_data = (adv_colors_t.data
-                                       if w_color is not None else None)
-                    adv_coords_data = (adv_coords_t.data
-                                       if w_coord is not None else None)
-                    step_distance = float(distance.item())
-                    adversarial_value = float(adversarial.item())
-                    total_value = float(total.item())
-
-                # Alternating update schedule for the "both fields" ablation: only
-                # one field's variable receives a gradient in each iteration.
-                if (config.alternating_fields and w_color is not None
-                        and w_coord is not None):
-                    if step % 2 == 1 and w_coord.grad is not None:
-                        w_coord.grad = np.zeros_like(w_coord.grad)
-                    elif step % 2 == 0 and w_color.grad is not None:
-                        w_color.grad = np.zeros_like(w_color.grad)
-
-                # Progress tracking on the values used for this forward pass.  The
-                # "best" snapshot prefers higher attack gain first and, at equal
-                # gain, a lower adversarial loss (closer to flipping more points).
-                prediction = np.argmax(logits_data[0], axis=-1)
-                gain = self.check.gain(prediction, labels, target_labels, mask)
-                adversarial_loss = adversarial_value
-                total_loss = total_value
-                history.append({
-                    "step": float(step), "loss": total_loss,
-                    "distance": step_distance, "gain": gain,
-                })
-                if tracer.enabled:
-                    tracer.emit("attack_step", engine=config.engine_name,
-                                scene=scene_name, step=step, loss=total_loss,
-                                gain=gain, pnorm=step_distance)
-                improved = (gain > best_gain
-                            or (gain == best_gain
-                                and adversarial_loss < best_adversarial_loss))
-                if improved:
-                    best_gain = gain
-                    best_adversarial_loss = adversarial_loss
-                    # Recompose from the original float64 arrays so every
-                    # point not carrying a perturbation stays a bit-exact
-                    # original even under a float32 compute policy.  The
-                    # coordinate snapshot uses this step's *allowed* mask:
-                    # points restored by Eq. 12 pruning must not retain
-                    # float32-rounding residue, which would inflate the
-                    # reported L0 (Eq. 8).
-                    best_colors = (np.where(mask3, adv_colors_data, colors)
-                                   if w_color is not None else colors)
-                    best_coords = (np.where(coord_mask3, adv_coords_data, coords)
-                                   if w_coord is not None else coords)
-                # The plateau counter resets whenever the optimiser still makes
-                # progress on the overall objective, even if no new point flipped.
-                if improved or total_loss < best_total_loss - 1e-9:
-                    plateau = 0
-                else:
-                    plateau += 1
-                best_total_loss = min(best_total_loss, total_loss)
-
-                if self.check.converged(prediction, labels, target_labels, mask):
-                    converged = True
-                    if tracer.enabled:
-                        tracer.emit("attack_converged",
-                                    engine=config.engine_name,
-                                    scene=scene_name, step=step)
-                    break
-
-                # Plateau restart: add uniform noise to the free variable (paper §IV-B).
-                if plateau >= config.plateau_patience:
-                    for w in variables:
-                        noise = rng.uniform(0.0, 1.0, size=w.shape) * mask3
-                        w.data += noise   # in place, preserving the policy dtype
-                    plateau = 0
-
-                optimizer.step()
-
-                # Coordinate attacks: restore the least impactful points (Eq. 12).
-                if (w_coord is not None and coord_selector is not None
-                        and coord_selector.active and w_coord.grad is not None):
-                    perturbation = coord_reparam.to_box_numpy(w_coord.data) - coords
-                    pruned = coord_selector.prune(w_coord.grad, perturbation)
-                    if pruned.size:
-                        w_coord.data[pruned] = coord_reparam.from_box(coords[pruned])
-
-        return build_result(
-            model=self.model, config=config,
-            original_coords=coords, original_colors=colors,
-            adversarial_coords=best_coords, adversarial_colors=best_colors,
-            labels=labels, target_labels=target_labels, target_mask=mask,
-            iterations=iterations, converged=converged, history=history,
-            scene_name=scene_name, clean_prediction=clean_prediction,
-        )
-
-    # ------------------------------------------------------------------ #
-    def run_batched(self, scenes: Sequence) -> List[AttackResult]:
-        """Attack several same-size prepared clouds in one optimisation loop.
-
-        ``scenes`` is a sequence of prepared-scene records (see
-        :class:`repro.core.attack.PreparedScene`): per-scene ``coords`` /
-        ``colors`` / ``labels`` / ``spec`` / ``target_labels`` / ``rng`` /
-        ``scene_name``, all clouds sharing one point count.  A single
-        forward/backward serves the whole batch, but every scene keeps its
-        own target mask, RNG stream, plateau counter, min-impact selector
-        and early-stopping decision, so each returned :class:`AttackResult`
-        is bit-for-bit identical to the one a serial ``run`` produces for
-        that scene.  Scenes that converge early are frozen in place (their
-        best snapshot is already taken) while the rest of the batch keeps
-        optimising; the loop exits once every scene has converged.
-        """
-        config = self.config
-        batch = len(scenes)
-        coords = np.stack([np.asarray(s.coords, dtype=np.float64) for s in scenes])
-        colors = np.stack([np.asarray(s.colors, dtype=np.float64) for s in scenes])
-        labels = np.stack([np.asarray(s.labels, dtype=np.int64) for s in scenes])
-        mask = np.stack([s.spec.target_mask for s in scenes])              # (B, N)
-        mask3 = np.broadcast_to(mask[:, :, None], colors.shape)
-        rngs = [s.rng or np.random.default_rng(config.seed) for s in scenes]
-        spec = scenes[0].spec
-        if config.objective is AttackObjective.OBJECT_HIDING:
-            if any(s.target_labels is None for s in scenes):
-                raise ValueError("object hiding requires target labels")
-            target_labels = np.stack([np.asarray(s.target_labels, dtype=np.int64)
-                                      for s in scenes])
-        else:
-            target_labels = None
-
-        self.model.eval()
-        # Clean predictions stay per-scene: they run under the float64
-        # reporting policy and are content-memoised, exactly as in `run`.
-        clean_predictions = [self.model.predict_single(coords[b], colors[b])
-                             for b in range(batch)]
-
-        color_reparam = BoxReparam(*spec.color_box)
-        coord_reparam = BoxReparam(*spec.coord_box)
-        selectors = ([MinImpactSelector(mask[b], config.min_impact_points,
-                                        config.min_impact_floor)
-                      for b in range(batch)]
-                     if spec.field.perturbs_coordinate else None)
-
-        best_gain = np.full(batch, -np.inf)
-        best_adversarial_loss = np.full(batch, np.inf)
-        best_total_loss = np.full(batch, np.inf)
-        best_colors = colors.copy()
-        best_coords = coords.copy()
-        plateau = np.zeros(batch, dtype=np.int64)
-        histories: List[List[Dict[str, float]]] = [[] for _ in range(batch)]
-        converged = np.zeros(batch, dtype=bool)
-        active = np.ones(batch, dtype=bool)
-        iterations = np.zeros(batch, dtype=np.int64)
-        eot = build_eot(config)
-        refresh = eot_refresh(eot)
-        tracer = get_tracer()
-
-        with attack_compute(self.model, config, neighbor_refresh=refresh) as cache:
-            smooth_source = (coords
-                             if current_policy().smoothness_neighbors == "clean"
-                             else None)
-
-            variables = []
-            w_color = w_coord = None
-            if spec.field.perturbs_color:
-                w_color = Tensor(color_reparam.from_box(colors), requires_grad=True)
-                variables.append(w_color)
-            if spec.field.perturbs_coordinate:
-                w_coord = Tensor(coord_reparam.from_box(coords), requires_grad=True)
-                variables.append(w_coord)
-            optimizer = Adam(variables, lr=config.learning_rate)
-
-            colors_const = Tensor(colors)
-            coords_const = Tensor(coords)
-
-            plans = plan_cache()
-            program = None
-            if (plans is not None and eot is None and w_coord is None
-                    and w_color is not None):
-                # Same replay regime as the serial path; one plan serves the
-                # whole batch (frozen scenes ride along, so the shape and
-                # the recorded op sequence never change).
+                # One plan serves the whole batch (frozen scenes ride along,
+                # so the shape and the recorded op sequence never change).
                 names = tuple(s.scene_name for s in scenes)
                 program = plans.program(
                     ("unbounded_batch", names, colors.shape),
@@ -442,27 +202,28 @@ class NormUnboundedAttack:
                         else:
                             adv_coords_t = coords_const
 
-                        # The serial path hands the model and the smoothness
-                        # penalty *separate* ``expand_dims`` views of the
-                        # adversarial cloud, so each consumer's many gradient
-                        # contributions are summed inside its own pass-through
-                        # node before reaching the optimisation variable.  The
-                        # identity reshapes below reproduce that exact
-                        # summation tree — feeding the shared tensor directly
-                        # would interleave the additions and shift the result
-                        # by an ulp, breaking bit-equality with serial runs.
+                        # The model and the smoothness penalty each get their
+                        # *own* identity-reshape view of the adversarial cloud,
+                        # so each consumer's many gradient contributions are
+                        # summed inside its own pass-through node before
+                        # reaching the optimisation variable.  Feeding the
+                        # shared tensor directly would interleave the additions
+                        # and shift the result by an ulp (the exactness
+                        # goldens pin this summation tree).
                         if eot is None:
                             logits = self.model(
                                 adv_coords_t.reshape(adv_coords_t.shape),
                                 adv_colors_t.reshape(adv_colors_t.shape))
                             adversarial = None
                         else:
-                            # Per-scene defense samples, drawn in serial order
-                            # from each scene's stream.  The identity reshapes
-                            # stand in for the serial path's per-sample
-                            # ``expand_dims`` pass-through, keeping the
-                            # gradient summation tree of every scene identical
-                            # to its serial run.
+                            # Expectation over transformation: the adversarial
+                            # term averages over this step's defense samples,
+                            # drawn per scene from its own stream on the
+                            # *current* adversarial values; each sample gets
+                            # the same identity-reshape pass-through as the
+                            # static forward.  The distance and smoothness
+                            # terms keep judging the raw cloud, and so does
+                            # convergence.
                             adv_np = np.asarray(adv_coords_t.data)
                             col_np = np.asarray(adv_colors_t.data)
                             step_samples = [eot.draw_all(adv_np[b], col_np[b],
@@ -482,6 +243,7 @@ class NormUnboundedAttack:
                                       else self.model(Tensor(adv_np),
                                                       Tensor(col_np)))
 
+                        # Objective: distance + λ1 · adversarial + λ2 · smoothness.
                         distance_terms = []
                         if w_color is not None:
                             distance_terms.append(
@@ -497,8 +259,7 @@ class NormUnboundedAttack:
 
                         if adversarial is None:
                             adversarial = self._adversarial_loss(
-                                logits, labels, target_labels, mask,
-                                per_scene=True)
+                                logits, labels, target_labels, mask)
 
                         smooth = smoothness_penalty(
                             adv_coords_t.reshape(adv_coords_t.shape),
@@ -509,8 +270,7 @@ class NormUnboundedAttack:
                         total = (distance + config.lambda1 * adversarial
                                  + config.lambda2 * smooth)
                         # Summing the per-scene objectives routes a gradient
-                        # of 1.0 into every scene's term — the same seed a
-                        # serial backward starts from — while scenes stay
+                        # of 1.0 into every scene's term while scenes stay
                         # independent end to end.
                         grand_total = total.sum()
                     if program is not None:
@@ -528,6 +288,8 @@ class NormUnboundedAttack:
                     adversarial_data = adversarial.data
                     total_data = total.data
 
+                # Alternating update schedule for the "both fields" ablation:
+                # only one field's variable receives a gradient per iteration.
                 if (config.alternating_fields and w_color is not None
                         and w_coord is not None):
                     if step % 2 == 1 and w_coord.grad is not None:
@@ -557,6 +319,12 @@ class NormUnboundedAttack:
                                     scene=scenes[b].scene_name, step=step,
                                     loss=total_loss, gain=gain,
                                     pnorm=float(distance_vals[b]))
+                    # The "best" snapshot prefers higher attack gain first
+                    # and, at equal gain, a lower adversarial loss.  It is
+                    # recomposed from the original float64 arrays so points
+                    # without a perturbation (including points restored by
+                    # Eq. 12 pruning, via this step's allowed mask) stay
+                    # bit-exact originals under a float32 compute policy.
                     improved = (gain > best_gain[b]
                                 or (gain == best_gain[b]
                                     and adversarial_loss < best_adversarial_loss[b]))
@@ -569,6 +337,8 @@ class NormUnboundedAttack:
                         best_coords[b] = (np.where(coord_mask3[b], adv_coords_data[b],
                                                    coords[b])
                                           if w_coord is not None else coords[b])
+                    # The plateau counter resets whenever the optimiser still
+                    # makes progress on the overall objective.
                     if improved or total_loss < best_total_loss[b] - 1e-9:
                         plateau[b] = 0
                     else:
@@ -585,6 +355,8 @@ class NormUnboundedAttack:
                                         scene=scenes[b].scene_name, step=step)
                         continue
 
+                    # Plateau restart: uniform noise on the free variables
+                    # (paper §IV-B), in place to keep the policy dtype.
                     if plateau[b] >= config.plateau_patience:
                         for w in variables:
                             noise = rngs[b].uniform(0.0, 1.0,
@@ -597,6 +369,7 @@ class NormUnboundedAttack:
 
                 optimizer.step()
 
+                # Coordinate attacks: restore the least impactful points (Eq. 12).
                 if (w_coord is not None and selectors is not None
                         and w_coord.grad is not None):
                     for b, selector in enumerate(selectors):

@@ -1,12 +1,15 @@
-"""Batched multi-scene attack execution: golden equivalence with serial runs.
+"""Batched multi-scene attack execution: bit equality with one-scene runs.
 
 The contract under test is strict: with ``batch_scenes > 1`` every scene's
-:class:`AttackResult` must be **bit-for-bit identical** to the result of a
+:class:`AttackResult` must be **bit-for-bit identical** to the result of its
 ``batch_scenes = 1`` run — same adversarial arrays, same per-step history,
-same iteration counts — in both compute policies.  The batched engines were
-built around that invariant (per-scene RNG streams, per-scene early
-stopping, accumulation-tree-preserving graph construction), so these tests
-compare with ``np.array_equal``, not tolerances.
+same iteration counts — in both compute policies.  The engines were built
+around that invariant (per-scene RNG streams, per-scene early stopping,
+accumulation-tree-preserving graph construction), so these tests compare
+with ``np.array_equal``, not tolerances.  Each engine's ``run`` is a
+one-scene ``run_batched`` call, so the ``batch_scenes = 1`` reference is the
+same step loop with a batch of one; the exactness goldens in
+``tests/test_accel.py`` pin that reference to recorded values.
 """
 
 from __future__ import annotations

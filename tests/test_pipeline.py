@@ -372,9 +372,14 @@ class TestBatchSeeding:
         np.testing.assert_allclose(shard[0].adversarial_colors,
                                    full[1].adversarial_colors)
 
-    def test_shared_rng_argument_deprecated(self, trained_resgcn, office_scene):
+    def test_options_after_config_are_keyword_only(self, trained_resgcn,
+                                                   office_scene):
+        # A stale positional shared generator must not bind to num_points.
         config = self._noise_config()
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
+            run_attack_batch(trained_resgcn, [office_scene], config,
+                             np.random.default_rng(0))
+        with pytest.raises(TypeError):
             run_attack_batch(trained_resgcn, [office_scene], config,
                              rng=np.random.default_rng(0))
 
