@@ -147,7 +147,6 @@ class NormUnboundedAttack:
                 variables.append(w_coord)
             optimizer = Adam(variables, lr=config.learning_rate)
 
-            # Constant tensors reused by every step's graph.
             colors_const = Tensor(colors)
             coords_const = Tensor(coords)
 
@@ -243,7 +242,6 @@ class NormUnboundedAttack:
                                       else self.model(Tensor(adv_np),
                                                       Tensor(col_np)))
 
-                        # Objective: distance + λ1 · adversarial + λ2 · smoothness.
                         distance_terms = []
                         if w_color is not None:
                             distance_terms.append(
