@@ -130,7 +130,7 @@ class NormBoundedAttack:
                 # converges).
                 names = tuple(s.scene_name for s in scenes)
                 program = plans.program(
-                    ("bounded_batch", names, adv_colors.shape),
+                    ("bounded", names, adv_colors.shape),
                     lambda: {"colors": Tensor(adv_colors.copy(),
                                               requires_grad=True)})
             for step in range(1, config.bounded_steps + 1):

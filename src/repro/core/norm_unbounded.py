@@ -163,7 +163,7 @@ class NormUnboundedAttack:
                 # so the shape and the recorded op sequence never change).
                 names = tuple(s.scene_name for s in scenes)
                 program = plans.program(
-                    ("unbounded_batch", names, colors.shape),
+                    ("unbounded", names, colors.shape),
                     lambda: {"w_color": w_color})
 
             for step in range(1, config.unbounded_steps + 1):
