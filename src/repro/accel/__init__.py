@@ -18,6 +18,7 @@ layer is bit-for-bit identical to the seed implementation — verified by the
 golden regression test in ``tests/test_accel.py``.
 """
 
+import ctypes
 import os
 import time
 from contextlib import contextmanager, nullcontext
@@ -54,8 +55,13 @@ def attack_compute(model, config, *,
     packed into a forward, and their probe clouds change every step anyway —
     a content-exact cache keeps serial and ``batch_scenes`` runs bit-for-bit
     identical while still memoising the unchanged-coordinate lookups.
+
+    The first call in a process also tells glibc to keep freed heap mapped
+    (:func:`_retain_freed_heap`), so the step loop stops page-faulting its
+    working set back in on every step.
     """
     global _last_attack_stats, _last_plan_stats
+    _retain_freed_heap()
     # Imported lazily: repro.nn consults this package on every Tensor
     # creation, so the module-level dependency must point nn -> accel only.
     from ..nn.compile import PlanCache, use_plan_cache
@@ -96,6 +102,31 @@ def attack_compute(model, config, *,
                 tracer.count("plan.captures", plans.stats["captures"])
 
 
+def _retain_freed_heap() -> None:
+    """Once per process: stop glibc returning freed heap to the kernel.
+
+    Every step frees and re-allocates the same large arrays; by default
+    glibc unmaps or trims them in between and the next step faults the
+    pages back in.  Both thresholds must be set: a fixed trim threshold
+    alone disables glibc's dynamic mmap threshold.  Skipped when the
+    operator set either ``MALLOC_*_THRESHOLD_`` variable, and silently
+    when libc has no ``mallopt``.  No computed value changes.
+    """
+    global _heap_retained
+    if _heap_retained:
+        return
+    _heap_retained = True
+    if ("MALLOC_MMAP_THRESHOLD_" in os.environ
+            or "MALLOC_TRIM_THRESHOLD_" in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit maximum
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
+
+
 def _maybe_profile(tracer):
     """The per-op autograd profiler, when ``REPRO_PROFILE_OPS`` opts in."""
     if os.environ.get("REPRO_PROFILE_OPS", "").strip() in ("", "0"):
@@ -104,6 +135,7 @@ def _maybe_profile(tracer):
     return profile_ops(tracer=tracer, label="attack_compute")
 
 
+_heap_retained = False
 _last_attack_stats: Dict[str, int] = {}
 _last_plan_stats: Dict[str, int] = {}
 

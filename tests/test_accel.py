@@ -9,16 +9,23 @@ Covers the three contracts the layer makes:
 * **NeighborhoodCache** — exact hits on unchanged content, stale reuse only
   inside the refresh window, invalidation on coordinate updates;
 * **model casting / freezing** — parameters are viewed in float32 inside an
-  attack context and restored (same objects, same bits) afterwards.
+  attack context and restored (same objects, same bits) afterwards;
+* **heap retention** — the first attack in a process raises glibc's mmap
+  and trim thresholds, so plan replays stop page-faulting their buffers in.
 """
 
+import ctypes
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro.accel
 from repro.accel import (
     ComputePolicy,
     NeighborhoodCache,
@@ -497,3 +504,116 @@ class TestModelCasting:
             logits.sum().backward()
             assert coords_t.grad is not None
             assert all(p.grad is None for p in model.parameters())
+
+
+# ---------------------------------------------------------------------- #
+# Heap retention (glibc mallopt, once per process)
+# ---------------------------------------------------------------------- #
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapRetention:
+    @pytest.fixture(autouse=True)
+    def _fresh_process(self, monkeypatch):
+        monkeypatch.setattr(repro.accel, "_heap_retained", False)
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+        monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_", raising=False)
+
+    def _enter_twice(self):
+        model = build_model("resgcn", num_classes=13, hidden=16, num_blocks=2,
+                            seed=0)
+        for _ in range(2):
+            with attack_compute(model, AttackConfig.fast()):
+                pass
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        self._enter_twice()
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 2**30)]
+
+    @pytest.mark.parametrize("var", ["MALLOC_TRIM_THRESHOLD_",
+                                     "MALLOC_MMAP_THRESHOLD_"])
+    def test_operator_setting_wins(self, monkeypatch, var):
+        monkeypatch.setenv(var, "131072")
+        libc = _FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        self._enter_twice()
+        assert libc.calls == []
+
+    def test_missing_libc_is_silent(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no libc")
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        self._enter_twice()
+
+    def test_libc_without_mallopt_is_silent(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        self._enter_twice()
+
+
+#: One bounded colour PointNet++ attack, three 320-point scenes batched into
+#: one loop, in a fresh interpreter; prints the minor page faults of every
+#: plan replay (steps 2..K).
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from repro.accel import pin_compute_threads
+from repro.core import AttackConfig, run_attack_batch
+from repro.datasets import generate_room_scene
+from repro.models import build_model
+from repro.nn.compile import StepProgram
+
+pin_compute_threads(1)
+faults = []
+replay = StepProgram.replay
+
+def counted_replay(self):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    outputs = replay(self)
+    if outputs is not None:
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    return outputs
+
+StepProgram.replay = counted_replay
+model = build_model("pointnet2", num_classes=13, seed=0)
+model.eval()
+scenes = [generate_room_scene(num_points=320, rng=np.random.default_rng(i),
+                              name=f"scene{i}") for i in range(3)]
+config = AttackConfig.fast(method="bounded", field="color", batch_scenes=3,
+                           target_accuracy=0.0)
+run_attack_batch(model, scenes, config)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="minor-fault accounting of glibc on Linux")
+def test_replays_do_not_fault_their_buffers_back_in():
+    """Steps 2..K reuse the heap the previous step freed.
+
+    Without the retained heap each replay of this attack faults its large
+    intermediates back in (2–3 k minor faults per replay); with it,
+    only the first replay grows the heap.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_")}
+    src = os.path.abspath(os.path.join(DATA_DIR, os.pardir, os.pardir, "src"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(faults) >= 10
+    assert np.mean(faults) < 1000, faults
