@@ -3,7 +3,8 @@
 The engine-contract suite proves eager-vs-compiled bit-equality end to end;
 this module tests the machinery itself — :class:`GraphRecorder` capture,
 the :func:`compile_plan` passes (dead-node elimination, constant folding,
-fusion), the :class:`StepProgram` lifecycle with its silent fallbacks, the
+fusion), the per-process cache of generated runner code and the
+interpreted fallback, the :class:`StepProgram` lifecycle with its silent fallbacks, the
 plan-cache stats surfaced by ``attack_compute``, profiler coverage of
 replayed steps, and the optional torch executor (skipped when torch is not
 installed).
@@ -18,6 +19,7 @@ from repro.accel.policy import ComputePolicy
 from repro.core import AttackConfig
 from repro.nn import Tensor
 from repro.nn.backends import available_backends, has_torch
+from repro.nn import compile as nn_compile
 from repro.nn.compile import (PlanCache, compile_plan, plan_cache,
                               use_plan_cache)
 from repro.nn.graph import GraphRecorder, recording
@@ -33,11 +35,20 @@ def _network(x: Tensor, w: Tensor, b: Tensor):
     return y, (y * y).sum()
 
 
-@pytest.fixture()
-def weights():
+def _make_weights():
     w = Tensor(RNG.standard_normal((3, 5)))
     b = Tensor(RNG.standard_normal((5,)))
     return w, b
+
+
+@pytest.fixture()
+def weights():
+    return _make_weights()
+
+
+@pytest.fixture()
+def other_weights():
+    return _make_weights()
 
 
 def _capture(weights, feed):
@@ -87,6 +98,67 @@ class TestCaptureReplay:
         dtype = plan.placeholders["x"].dtype
         with pytest.raises(PlanMismatch):
             plan.execute({"x": RNG.standard_normal((5, 3)).astype(dtype)})
+
+
+def _replay(plan, feed):
+    dtype = plan.placeholders["x"].dtype
+    result = plan.execute({"x": feed.astype(dtype)})
+    return result.outputs["y"], result.grads["x"]
+
+
+class TestRunnerCode:
+    """Runner code is byte-compiled once per source; bindings stay per plan."""
+
+    def _count_compiles(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return compile(*args)
+
+        # A module global shadows the builtin inside repro.nn.compile.
+        monkeypatch.setattr(nn_compile, "compile", spy, raising=False)
+        return calls
+
+    def test_plans_of_one_schedule_share_code(self, weights, other_weights,
+                                              monkeypatch):
+        nn_compile._byte_compile.cache_clear()
+        calls = self._count_compiles(monkeypatch)
+        feed = RNG.standard_normal((4, 3))
+        plans = [_capture(w, feed) for w in (weights, other_weights)]
+        for plan, w in zip(plans, (weights, other_weights)):
+            y, grad = _replay(plan, feed)
+            y_ref, grad_ref = _eager(w, feed)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(grad, grad_ref)
+        assert len(calls) == 1
+        assert plans[0]._runner is not plans[1]._runner
+        assert plans[0]._runner.__code__ is plans[1]._runner.__code__
+
+    def test_failed_byte_compile_falls_back_to_interpreted(self, weights,
+                                                           monkeypatch):
+        nn_compile._byte_compile.cache_clear()
+        feed = RNG.standard_normal((4, 3))
+
+        def broken(*args):
+            raise SyntaxError("forced")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nn_compile, "compile", broken, raising=False)
+            fallback = _capture(weights, feed)
+        assert fallback._runner is None
+
+        calls = self._count_compiles(monkeypatch)
+        generated = _capture(weights, feed)
+        # lru_cache stores no exception: the same source compiles now.
+        assert len(calls) == 1
+        assert generated._runner is not None
+
+        y_ref, grad_ref = _eager(weights, feed)
+        for plan in (fallback, generated):
+            y, grad = _replay(plan, feed)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(grad, grad_ref)
 
 
 class TestCompilerPasses:
