@@ -1,13 +1,13 @@
 """Compiled-plan benchmark: eager vs graph-capture replay vs torch backend.
 
-One fused white-box cell — the norm-bounded colour attack's step
-computation (PointNet++ forward, adversarial loss, backward) on a 96-point
-synthetic office scene, the shape the fusion and constant-folding passes
-were tuned on — measured two ways:
+One white-box cell — the norm-bounded colour attack's step computation
+(PointNet++ forward, adversarial loss, backward) on a 96-point synthetic
+office scene, the shape the constant-folding pass was tuned on — measured
+two ways:
 
 * **step loop** — the per-step computation in isolation: an eager step
   rebuilds the autograd tape through closures; a compiled step replays the
-  fused, arena-allocated plan.  This isolates what the compile layer
+  arena-allocated plan.  This isolates what the compile layer
   changes and carries the gated >= 2x floor.
 * **end to end** — full ``run_attack`` wall-clock with ``graph_capture``
   on vs off, informational: per-step work outside the tensor graph (sign

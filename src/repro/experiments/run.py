@@ -30,7 +30,7 @@ from .ablations import (
     run_neighbourhood_ablation,
     run_steps_ablation,
 )
-from ..pipeline.cli import positive_int
+from ..pipeline.cli import nonnegative_int, positive_int
 from .context import ExperimentConfig, ExperimentContext
 from .extensions import run_alternating_ablation, run_pct_extension
 from .figures import run_figures
@@ -147,12 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="defense samples per optimisation step of the "
                              "adaptive (defense-aware) attack cells "
                              "(default: the experiment's own value)")
-    parser.add_argument("--retries", default=None, metavar="R",
+    parser.add_argument("--retries", type=nonnegative_int, default=None,
+                        metavar="R",
                         help="retries per task after a transient failure "
                              "(worker crash, broken pool, timeout, injected "
                              "fault); runs through the pipeline scheduler "
                              "even at --jobs 1")
-    parser.add_argument("--task-timeout", default=None, metavar="SECONDS",
+    parser.add_argument("--task-timeout", type=float, default=None,
+                        metavar="SECONDS",
                         help="wall-clock deadline per task attempt "
                              "(enforced with --jobs > 1); runs through the "
                              "pipeline scheduler")

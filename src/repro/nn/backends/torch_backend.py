@@ -260,12 +260,11 @@ class _TorchExecutor:
 
         grad_mode = torch.enable_grad() if wants_grad else torch.no_grad()
         with grad_mode:
-            for segment in plan.segments:
-                for step in segment:
-                    kernel = KERNELS[step.op.name]
-                    pcache = self._pcaches.setdefault(id(step), {})
-                    inputs = tuple(values[i] for i in step.in_idxs)
-                    values[step.out_idx] = kernel(inputs, step.params, pcache)
+            for step in plan.segments:
+                kernel = KERNELS[step.op.name]
+                pcache = self._pcaches.setdefault(id(step), {})
+                inputs = tuple(values[i] for i in step.in_idxs)
+                values[step.out_idx] = kernel(inputs, step.params, pcache)
 
         outputs = {
             name: values[node.idx].detach().numpy()

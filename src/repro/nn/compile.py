@@ -17,19 +17,15 @@ A captured graph (:mod:`repro.nn.graph`) is turned into a
   are returned to a ``(shape, dtype)``-keyed arena after their last use and
   recycled through ``out=``-capable kernels.  ``out=`` on a NumPy ufunc is
   bitwise-identical to fresh allocation, so this pass is numerics-neutral.
-* **Fusion** — single-consumer chains of fusible ops (the
-  normalize→matmul→bn→relu and gather→reduce hot paths) are grouped into
-  fused steps executed as one unit: one dispatch, one profiler span, buffers
-  recycled within the chain.  The kernels and their order are unchanged, so
-  fusion never changes bits.
 
 Plans are cached per engine-chosen key — ``(engine tag, model identity,
 batch, points, dtype)`` — in the :class:`PlanCache` that
 :func:`repro.accel.attack_compute` installs for the duration of one attack
 run.  Engines drive the capture-once / replay-thereafter lifecycle through
 :class:`StepProgram`; any surprise (shape change, invalid capture) falls
-back to the eager path silently.  Each plan's generated runner is
-byte-compiled once per process per distinct source and exec'd per plan.
+back to the eager path silently.  A plan replays through one record-driven
+loop over its schedule, which times each op for the profiler only while
+``REPRO_PROFILE_OPS`` is on.
 
 Execution backends: the default NumPy executor runs the registry kernels
 in-process; ``backend="torch"`` delegates to
@@ -38,9 +34,9 @@ in-process; ``backend="torch"`` delegates to
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,8 +59,9 @@ def set_profile_sink(sink) -> None:
 
     The sink must expose ``add_forward(name, seconds)`` and
     ``add_backward(name, seconds)``; :func:`repro.telemetry.profiler.profile_ops`
-    registers its :class:`OpProfile` here so replayed and fused steps show up
-    in ``REPRO_PROFILE_OPS=1`` reports alongside eagerly-executed ops.
+    registers its :class:`OpProfile` here so replayed steps show up in
+    ``REPRO_PROFILE_OPS=1`` reports under the same registry op names as
+    eagerly-executed ones.
     """
     global _PROFILE_SINK
     _PROFILE_SINK = sink
@@ -138,13 +135,13 @@ class CompiledPlan:
 
     def __init__(self, placeholders: Dict[str, Node],
                  outputs: Dict[str, Node], root: Optional[Node],
-                 segments: List[List[_ExecOp]], backward: List[_BackOp],
+                 segments: List[_ExecOp], backward: List[_BackOp],
                  template: List[Optional[np.ndarray]], num_slots: int,
                  num_folded: int = 0) -> None:
         self.placeholders = placeholders
         self.outputs = outputs
         self.root = root
-        self.segments = segments          # fused forward schedule
+        self.segments = segments          # flat forward schedule
         self.backward = backward
         self._template = template         # constants prefilled, by reference
         self.num_slots = num_slots
@@ -152,43 +149,33 @@ class CompiledPlan:
         self.grad_slots = {name: node for name, node in placeholders.items()
                            if node.requires_grad}
         self.replays = 0
-        self._segment_labels = [
-            seg[0].op.name if len(seg) == 1
-            else "fused:" + "+".join(step.op.name for step in seg)
-            for seg in segments
-        ]
         self._torch_executor = None       # lazily built by the torch backend
-        # Flat per-op records for the interpreted fallback loop: attribute
-        # lookups and the segment nesting are hoisted out of replay entirely.
+        # Flat per-op records for the replay loop: attribute lookups are
+        # hoisted out of replay entirely.
         self._fwd_flat = [
-            (step.op.forward, step.op.forward_out, step.in_idxs, step.params,
+            (step.op.name, step.op.forward, step.op.forward_out,
+             _gather(step.in_idxs), step.in_idxs[0], step.params,
              step.out_idx, step.dtype, (step.shape, step.dtype),
              step.use_arena, tuple(step.release))
-            for seg in segments for step in seg
+            for step in segments
         ]
         self._back_flat = [
-            (step.op.vjp, step.in_idxs, step.out_idx, step.params,
-             step.needs, step.targets)
+            (step.op.name, step.op.vjp, _gather(step.in_idxs),
+             step.in_idxs[0], step.out_idx, step.params, step.needs,
+             step.targets)
             for step in backward
         ]
-        self._runner = self._build_runner()   # straight-line body, or None
 
     # -------------------------------------------------------------- #
     # Introspection (docs, tests, profiling)
     # -------------------------------------------------------------- #
     @property
     def num_ops(self) -> int:
-        return sum(len(seg) for seg in self.segments)
-
-    @property
-    def num_fused(self) -> int:
-        return sum(1 for seg in self.segments if len(seg) > 1)
+        return len(self.segments)
 
     def describe(self) -> Dict[str, object]:
         return {
             "ops": self.num_ops,
-            "segments": len(self.segments),
-            "fused_segments": self.num_fused,
             "folded": self.num_folded,
             "backward_ops": len(self.backward),
             "slots": self.num_slots,
@@ -226,28 +213,24 @@ class CompiledPlan:
         return values
 
     def _execute_numpy(self, feeds: Dict[str, np.ndarray]) -> PlanResult:
-        if _PROFILE_SINK is not None:
-            return self._execute_numpy_profiled(feeds)
-        values = self._feed_values(feeds)
-        if self._runner is not None:
-            outputs, grads = self._runner(values)
-            return PlanResult(outputs, grads)
-        return self._execute_numpy_interpreted(values)
+        """Run the schedule on the registry kernels, record by record.
 
-    def _execute_numpy_interpreted(self, values: List[Optional[np.ndarray]]
-                                   ) -> PlanResult:
-        """Record-driven fallback when codegen is unavailable.
-
-        Runs the identical kernel schedule as the generated runner; only the
-        dispatch plumbing differs, so both produce the same bits.
+        The profiler sink is read once per replay.  Only when it is set does
+        the loop time each forward op and each VJP (under its registry op
+        name, the label eager steps report under); the kernels and their
+        order are the same either way, so profiled replays keep the bits.
         """
-        getv = values.__getitem__
+        sink = _PROFILE_SINK
+        clock = time.perf_counter
+        values = self._feed_values(feeds)
         arena: Dict[Tuple[tuple, object], List[np.ndarray]] = {}
         arena_get = arena.get
 
-        for (forward, forward_out, in_idxs, params, out_idx, dtype, akey,
-             use_arena, release) in self._fwd_flat:
-            datas = tuple(map(getv, in_idxs))
+        for (name, forward, forward_out, gather, first, params, out_idx,
+             dtype, akey, use_arena, release) in self._fwd_flat:
+            if sink is not None:
+                start = clock()
+            datas = gather(values) if gather else (values[first],)
             out = None
             if use_arena:
                 free = arena_get(akey)
@@ -262,6 +245,8 @@ class CompiledPlan:
                 buf = values[idx]
                 values[idx] = None
                 arena.setdefault(key, []).append(buf)
+            if sink is not None:
+                sink.add_forward(name, clock() - start)
 
         grads: List[Optional[np.ndarray]] = [None] * self.num_slots
         owned = [False] * self.num_slots
@@ -270,197 +255,20 @@ class CompiledPlan:
             seed = np.ones_like(values[self.root.idx])
             _accumulate(grads, owned, self.root.idx, self.root.dtype, seed)
             getg = grads.__getitem__
-            for vjp, in_idxs, out_idx, params, needs, targets in \
-                    self._back_flat:
+            for (name, vjp, gather, first, out_idx, params, needs,
+                 targets) in self._back_flat:
                 grad = getg(out_idx)
                 if grad is None:
                     continue
-                pieces = vjp(grad, values[out_idx],
-                             tuple(map(getv, in_idxs)), params, needs)
+                if sink is not None:
+                    start = clock()
+                datas = gather(values) if gather else (values[first],)
+                pieces = vjp(grad, values[out_idx], datas, params, needs)
                 for (idx, dtype), piece in zip(targets, pieces):
                     if piece is not None:
                         _accumulate(grads, owned, idx, dtype, piece)
-
-        outputs = {name: values[node.idx]
-                   for name, node in self.outputs.items()}
-        grad_out = {name: grads[node.idx]
-                    for name, node in self.grad_slots.items()
-                    if grads[node.idx] is not None}
-        return PlanResult(outputs, grad_out)
-
-    def _build_runner(self):
-        """Generate the schedule as one straight-line Python function.
-
-        The interpreted loop pays per-replay costs the schedule does not
-        need: record unpacking, ``tuple(map(...))`` argument packing,
-        statically-decidable branches (arena use, releases, accumulation
-        targets) and a Python call per gradient accumulation.  Unrolling the
-        whole forward + backward schedule into generated source — kernels,
-        params and dtypes bound as keyword-only defaults, so they are locals
-        in the frame — removes all of it while calling the *same* kernels in
-        the *same* order with the *same* accumulation branch structure, so
-        the generated runner is bitwise-identical to the interpreted one.
-        The source names bindings but holds none of their values, so plans
-        of the same schedule share one byte-compiled code object.
-
-        Returns ``None`` when generation fails for any reason; the caller
-        falls back to the interpreted loop.
-        """
-        binds: Dict[str, object] = {"_np": np}
-        lines: List[str] = []
-        emit = lines.append
-
-        def bind(prefix: str, tag: object, value: object) -> str:
-            name = f"{prefix}{tag}"
-            binds[name] = value
-            return name
-
-        def argtuple(in_idxs: Tuple[int, ...]) -> str:
-            args = ", ".join(f"values[{i}]" for i in in_idxs)
-            return f"({args},)" if len(in_idxs) == 1 else f"({args})"
-
-        emit("    arena = {}")
-        for k, (forward, forward_out, in_idxs, params, out_idx, dtype, akey,
-                use_arena, release) in enumerate(self._fwd_flat):
-            fwd = bind("F", k, forward)
-            par = bind("P", k, params)
-            dty = bind("D", k, dtype)
-            tup = argtuple(in_idxs)
-            if use_arena:
-                out_fn = bind("G", k, forward_out)
-                key = bind("A", k, akey)
-                emit("    out = None")
-                emit(f"    free = arena.get({key})")
-                emit("    if free:")
-                emit(f"        out = {out_fn}({tup}, {par}, free.pop())")
-                emit("    if out is None:")
-                emit(f"        out = {fwd}({tup}, {par})")
-            else:
-                emit(f"    out = {fwd}({tup}, {par})")
-            emit(f"    if out.dtype != {dty}:")
-            emit(f"        out = out.astype({dty})")
-            emit(f"    values[{out_idx}] = out")
-            for key_val, idx in release:
-                key = bind("R", f"{k}_{idx}", key_val)
-                emit(f"    buf = values[{idx}]")
-                emit(f"    values[{idx}] = None")
-                emit(f"    arena.setdefault({key}, []).append(buf)")
-
-        grad_idxs = set()
-        if self.root is not None:
-            grad_idxs.add(self.root.idx)
-            for _, _, _, _, _, targets in self._back_flat:
-                for idx, _ in targets:
-                    grad_idxs.add(idx)
-            for idx in sorted(grad_idxs):
-                emit(f"    g{idx} = None")
-                emit(f"    o{idx} = False")
-            # Same seed as Tensor.backward's default argument; stored by
-            # reference with owned=False, exactly like _accumulate would.
-            root = self.root.idx
-            emit(f"    g{root} = _np.ones_like(values[{root}])")
-            for k, (vjp, in_idxs, out_idx, params, needs, targets) in \
-                    enumerate(self._back_flat):
-                if out_idx not in grad_idxs:
-                    continue          # statically unreachable: grad stays None
-                vjp_fn = bind("V", k, vjp)
-                par = bind("Q", k, params)
-                nee = bind("N", k, needs)
-                tup = argtuple(in_idxs)
-                emit(f"    if g{out_idx} is not None:")
-                emit(f"        pieces = {vjp_fn}(g{out_idx}, "
-                     f"values[{out_idx}], {tup}, {par}, {nee})")
-                for j, (tidx, tdtype) in enumerate(targets):
-                    dty = bind("T", tidx, tdtype)
-                    emit(f"        p = pieces[{j}]")
-                    emit("        if p is not None:")
-                    # Inlined _accumulate: reference-first storage, same
-                    # ownership rules, same in-place add.
-                    emit(f"            if g{tidx} is None:")
-                    emit("                p = _np.asarray(p)")
-                    emit(f"                if p.dtype != {dty}:")
-                    emit(f"                    p = p.astype({dty})")
-                    emit(f"                    o{tidx} = True")
-                    emit("                else:")
-                    emit(f"                    o{tidx} = False")
-                    emit(f"                g{tidx} = p")
-                    emit(f"            elif o{tidx} and "
-                         f"g{tidx}.shape == _np.shape(p):")
-                    emit(f"                g{tidx} += p")
-                    emit("            else:")
-                    emit(f"                g{tidx} = g{tidx} + p")
-                    emit(f"                o{tidx} = True")
-
-        out_items = ", ".join(f"{name!r}: values[{node.idx}]"
-                              for name, node in self.outputs.items())
-        emit(f"    outputs = {{{out_items}}}")
-        emit("    grads_out = {}")
-        for name, node in self.grad_slots.items():
-            if node.idx in grad_idxs:
-                emit(f"    if g{node.idx} is not None:")
-                emit(f"        grads_out[{name!r}] = g{node.idx}")
-        emit("    return outputs, grads_out")
-
-        header = "def _plan_run(values, *, " + \
-            ", ".join(f"{name}={name}" for name in binds) + "):"
-        source = "\n".join([header] + lines)
-        try:
-            namespace = dict(binds)
-            exec(_byte_compile(source), namespace)
-            return namespace["_plan_run"]
-        except Exception:
-            return None
-
-    def _execute_numpy_profiled(self, feeds: Dict[str, np.ndarray]
-                                ) -> PlanResult:
-        """The same schedule with per-segment / per-VJP profiler spans.
-
-        Kept as a separate path so the common unprofiled replay pays no
-        timing overhead; the kernels and their order are identical, so both
-        paths produce the same bits.
-        """
-        sink = _PROFILE_SINK
-        values = self._feed_values(feeds)
-        arena: Dict[Tuple[tuple, object], List[np.ndarray]] = {}
-
-        for label, segment in zip(self._segment_labels, self.segments):
-            start = time.perf_counter()
-            for step in segment:
-                op = step.op
-                datas = tuple(values[i] for i in step.in_idxs)
-                out = None
-                if step.use_arena:
-                    free = arena.get((step.shape, step.dtype))
-                    if free:
-                        out = op.forward_out(datas, step.params, free.pop())
-                if out is None:
-                    out = op.forward(datas, step.params)
-                if out.dtype != step.dtype:
-                    out = out.astype(step.dtype)
-                values[step.out_idx] = out
-                for key, idx in step.release:
-                    buf = values[idx]
-                    values[idx] = None
-                    arena.setdefault(key, []).append(buf)
-            sink.add_forward(label, time.perf_counter() - start)
-
-        grads: List[Optional[np.ndarray]] = [None] * self.num_slots
-        owned = [False] * self.num_slots
-        if self.root is not None:
-            seed = np.ones_like(values[self.root.idx])
-            _accumulate(grads, owned, self.root.idx, self.root.dtype, seed)
-            for step in self.backward:
-                grad = grads[step.out_idx]
-                if grad is None:
-                    continue
-                start = time.perf_counter()
-                datas = tuple(values[i] for i in step.in_idxs)
-                pieces = step.op.vjp(grad, values[step.out_idx], datas,
-                                     step.params, step.needs)
-                for (idx, dtype), piece in zip(step.targets, pieces):
-                    if piece is not None:
-                        _accumulate(grads, owned, idx, dtype, piece)
-                sink.add_backward(step.op.name, time.perf_counter() - start)
+                if sink is not None:
+                    sink.add_backward(name, clock() - start)
 
         outputs = {name: values[node.idx]
                    for name, node in self.outputs.items()}
@@ -470,10 +278,13 @@ class CompiledPlan:
         return PlanResult(outputs, grad_out)
 
 
-@functools.lru_cache(maxsize=32)
-def _byte_compile(source: str):
-    """Byte-compile generated runner source, once per process per text."""
-    return compile(source, "<compiled-plan>", "exec")
+def _gather(in_idxs: Tuple[int, ...]):
+    """``values -> inputs tuple`` in C for ops of two or more inputs.
+
+    ``None`` for one-input ops, which the loop packs as ``(values[i],)``:
+    ``itemgetter`` of one index returns the bare value, not a tuple.
+    """
+    return itemgetter(*in_idxs) if len(in_idxs) > 1 else None
 
 
 def _accumulate(grads: List[Optional[np.ndarray]], owned: List[bool],
@@ -643,32 +454,9 @@ def compile_plan(recorder: GraphRecorder, outputs: Dict[str, Tensor],
         node = needed[node_id]
         exec_ops[pos].release.append(((node.shape, node.dtype), node.idx))
 
-    # --- Fusion: group single-consumer chains of fusible ops ---------- #
-    scheduled = {id(n) for n in schedule}
-    consumers: Dict[int, int] = {}
-    for node in schedule:
-        for parent in node.inputs:
-            if parent.kind == "op" and id(parent) in scheduled:
-                consumers[id(parent)] = consumers.get(id(parent), 0) + 1
-
-    segments: List[List[_ExecOp]] = []
-    for i, node in enumerate(schedule):
-        if segments and node.op.fuse is not None:
-            prev = schedule[i - 1]
-            chained = (
-                prev.op.fuse is not None
-                and any(p is prev for p in node.inputs)
-                and consumers.get(id(prev), 0) == 1
-                and segments[-1][-1].out_idx == prev.idx
-            )
-            if chained:
-                segments[-1].append(exec_ops[i])
-                continue
-        segments.append([exec_ops[i]])
-
     placeholders = dict(recorder.placeholders)
     backward = [_BackOp(node) for node in back_nodes]
-    return CompiledPlan(placeholders, out_nodes, root_node, segments,
+    return CompiledPlan(placeholders, out_nodes, root_node, exec_ops,
                         backward, template, num_slots,
                         num_folded=len(fold_nodes))
 

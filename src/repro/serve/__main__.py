@@ -28,7 +28,7 @@ import contextlib
 from typing import Optional
 
 from ..experiments.context import ExperimentConfig
-from ..pipeline.cli import positive_int
+from ..pipeline.cli import nonnegative_int, positive_int
 from ..pipeline.resilience import RetryPolicy
 from .protocol import parse_address
 from .server import AttackServer
@@ -71,10 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S")
     parser.add_argument("--eot-samples", type=positive_int, default=None,
                         metavar="K")
-    parser.add_argument("--retries", type=positive_int, default=3,
+    parser.add_argument("--retries", type=nonnegative_int, default=2,
                         metavar="R",
-                        help="attempts per job before it fails (transient "
-                             "errors only)")
+                        help="retries per job after a transient failure, "
+                             "i.e. R+1 attempts (default: 2; 0 disables "
+                             "retries; deterministic errors always fail "
+                             "fast)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock deadline per job attempt; on "
@@ -99,6 +101,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return factory(**knobs)
 
 
+def build_retry(args: argparse.Namespace) -> RetryPolicy:
+    """The per-job retry policy: ``--retries R`` means R+1 attempts."""
+    return RetryPolicy(max_attempts=args.retries + 1,
+                       task_timeout=args.task_timeout)
+
+
 async def _serve(server: AttackServer) -> None:
     await server.start()
     address = server.address
@@ -118,10 +126,8 @@ async def _serve(server: AttackServer) -> None:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     host, port, unix_path = parse_address(args.address)
-    retry = RetryPolicy(max_attempts=args.retries,
-                        task_timeout=args.task_timeout)
     server = AttackServer(build_config(args), jobs=args.jobs,
-                          store=args.store, retry=retry,
+                          store=args.store, retry=build_retry(args),
                           host=host or "127.0.0.1", port=port or 0,
                           unix_path=unix_path, trace_path=args.trace)
     with contextlib.suppress(KeyboardInterrupt):

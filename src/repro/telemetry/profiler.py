@@ -112,8 +112,8 @@ def profile_ops(tracer=None, top_k: int = 12,
     Method shims only see *eager* execution — a compiled-plan replay (see
     :mod:`repro.nn.compile`) never calls a Tensor method.  The profile is
     therefore also registered as the plan executor's profile sink, which
-    reports replayed forward work as per-fused-segment spans (labelled by
-    the segment's op chain) and backward work per VJP, so
+    reports replayed forward work per op and backward work per VJP, each
+    under its registry op name (``matmul``, ``relu``, ...), so
     ``REPRO_PROFILE_OPS=1`` keeps covering steps 2..K after graph capture
     kicks in.
     """

@@ -523,6 +523,17 @@ class TestCli:
         _, both = self._options(["--fault-plan", "v=hang:1:9"])
         assert both.specs[0].task == "v"
 
+    def test_experiments_cli_rejects_bad_resilience_values(self, capsys):
+        from repro.experiments.run import build_parser
+        parser = build_parser()
+        for argv in (["--retries", "-1"], ["--task-timeout", "soon"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--experiment", "table6"] + argv)
+        assert "invalid float value: 'soon'" in capsys.readouterr().err
+        args = parser.parse_args(["--experiment", "table6", "--retries", "0",
+                                  "--task-timeout", "2.5"])
+        assert (args.retries, args.task_timeout) == (0, 2.5)
+
     def test_experiments_cli_delegates_on_resilience_flags(self, monkeypatch):
         from repro.experiments import run as experiments_run
         seen = {}

@@ -416,3 +416,19 @@ class TestLifecycle:
         while runner._thread.is_alive() and time.time() < deadline:
             time.sleep(0.05)
         assert not runner._thread.is_alive()
+
+
+class TestCli:
+    """``python -m repro.serve`` flags mean what the batch CLIs' flags mean."""
+
+    def _retry(self, argv):
+        from repro.serve.__main__ import build_parser, build_retry
+        return build_retry(build_parser().parse_args(argv))
+
+    def test_zero_retries_is_one_attempt(self):
+        assert self._retry(["--retries", "0"]).max_attempts == 1
+
+    def test_default_is_three_attempts(self):
+        retry = self._retry([])
+        assert retry.max_attempts == 3
+        assert retry.task_timeout is None
